@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.Timing.timed
 import repro.model.{Assignment, SubTraj, TrajDistance}
 import repro.retratree.{ReTraTree, SubChunkClustering}
 import repro.voting.Segmentation
@@ -38,10 +39,6 @@ object QuTClustering {
                           timings: Timings) {
     def nClusters: Int = clusters.length
     def nOutliers: Int = outliers.length
-  }
-
-  private def timed[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime(); val r = body; (r, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Answer QUT over the tree for W = [w0, w1). `mergeEps` defaults to the

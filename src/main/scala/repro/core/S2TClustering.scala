@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
+import repro.Timing.timed
 import repro.clustering.GreedyClustering
 import repro.model.{Assignment, SubTraj}
 import repro.sampling.Sampling
@@ -11,7 +12,8 @@ import repro.voting.{Segmentation, Voting}
   * paper's first core module.
   *
   * Two phases, four steps:
-  *  1. NaTS:  Voting  →  Segmentation   (distributed: Spark join + per-group)
+  *  1. NaTS:  Voting  →  Segmentation   (distributed: shuffle by timestamp +
+  *            per-timestamp kernel, then per-trajectory groups)
   *  2. SaCO:  Sampling  →  GreedyClustering + outlier detection
   *            (sampling central over sub-trajectory descriptors, as in
   *             Hermes; assignment distributed)
@@ -52,12 +54,6 @@ object S2TClustering {
     def clusterSizes: Map[Int, Int] =
       assignments.filter(_.clusterId != Assignment.Outlier).groupBy(_.clusterId)
         .map { case (c, as) => c -> as.length }
-  }
-
-  private def timed[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val r = body
-    (r, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Run the whole pipeline on a MOD DataFrame (obj_id, t, x, y), resampled

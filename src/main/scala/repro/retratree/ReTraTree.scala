@@ -3,9 +3,9 @@ package repro.retratree
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import repro.Timing.timed
 import repro.core.S2TClustering
 import repro.model.{Assignment, SubTraj, TrajDistance, TrajPoint}
-import repro.rtree.{Box3D, RTree3D}
 import repro.voting.{Segmentation, Voting}
 
 import scala.collection.immutable.SortedMap
@@ -25,15 +25,12 @@ final case class SubChunkClustering(subChunkId: Int, reps: Array[SubTraj],
   def nOutliers: Int = assignments.count(_.clusterId == Assignment.Outlier)
 }
 
-/** Levels 2–4 state of one temporal chunk: its sub-chunk clusterings, the
-  * 3D R-tree over member MBBs (payload = index into `memberBoxes`), the
+/** Levels 2–3 state of one temporal chunk: its sub-chunk clusterings, the
   * buffer of not-yet-clustered inserted trajectories, and appended member
   * assignments from incremental inserts.
   */
 final class ChunkClustering(val chunkId: Long) {
   var subChunks: Vector[SubChunkClustering] = Vector.empty
-  var rtree: RTree3D = new RTree3D()
-  val memberBoxes: ArrayBuffer[Box3D] = ArrayBuffer.empty
   /** Trajectories inserted after build that matched an existing representative. */
   val appended: ArrayBuffer[Assignment] = ArrayBuffer.empty
   /** Inserted trajectories that matched nothing — the outlier partition. */
@@ -54,8 +51,7 @@ final class ChunkClustering(val chunkId: Long) {
   *  3. per-sub-chunk clusters: representatives + member assignments,
   *     produced by the S2T machinery (this is the in-memory part);
   *  4. data storage: the voted samples, written as parquet partitioned by
-  *     chunk id (the disk-partition analog of `pg3D-Rtree-k`), plus a 3D
-  *     R-tree per chunk over member MBBs for retrieval.
+  *     chunk id (the disk-partition analog of `pg3D-Rtree-k`).
   *
   * Temporal chunking has a structural consequence this implementation leans
   * on: a vote at time t only involves objects alive at t, so voting never
@@ -114,11 +110,11 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
     *
     * The trajectory is clipped per chunk; each piece is matched against the
     * chunk's existing representatives. A match is archived as an appended
-    * member (and its MBB inserted into the chunk R-tree); a miss lands in the
-    * chunk's outlier partition. When an outlier partition reaches
-    * `reclusterThreshold` trajectories, S2T takes action on it: chunk-local
-    * voting over the buffered trajectories, segmentation, sampling — the new
-    * representatives are back-propagated into the in-memory level 3.
+    * member; a miss lands in the chunk's outlier partition. When an outlier
+    * partition reaches `reclusterThreshold` trajectories, S2T takes action on
+    * it: chunk-local voting over the buffered trajectories, segmentation,
+    * sampling — the new representatives are back-propagated into the
+    * in-memory level 3.
     */
   def insertTrajectory(pts: Array[TrajPoint]): Unit = {
     require(pts.nonEmpty, "cannot insert an empty trajectory")
@@ -137,9 +133,6 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
                                                           params.s2t.minOverlapFrac)
       if (a.clusterId != Assignment.Outlier) {
         cc.appended += a
-        val b = Box3D(xs.min, xs.max, ys.min, ys.max, ts.min, ts.max)
-        cc.memberBoxes += b
-        cc.rtree.insert(b, cc.memberBoxes.length - 1)
       } else {
         cc.pendingOutliers += VotedSeries(piece.head.objId, ts, xs, ys,
                                           new Array[Double](ts.length))
@@ -167,11 +160,6 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
     val offset = if (cc.subChunks.isEmpty) 0 else cc.subChunks.map(_.subChunkId).max + 1
     val appendedScs = clusterings.map(sc => sc.copy(subChunkId = sc.subChunkId + offset))
     cc.subChunks = cc.subChunks ++ appendedScs
-    for (vs <- series) {
-      val b = Box3D(vs.xs.min, vs.xs.max, vs.ys.min, vs.ys.max, vs.ts.min, vs.ts.max)
-      cc.memberBoxes += b
-      cc.rtree.insert(b, cc.memberBoxes.length - 1)
-    }
   }
 }
 
@@ -206,10 +194,6 @@ object ReTraTree {
     val spark = points.sparkSession
     import spark.implicits._
 
-    def timed[A](body: => A): (A, Long) = {
-      val t0 = System.nanoTime(); val r = body; (r, (System.nanoTime() - t0) / 1000000L)
-    }
-
     val (voted, tVote) = timed {
       val v = Voting.votes(points, params.s2t.sigma)
         .withColumn("chunk_id", floor(col("t") / params.tau).cast("long"))
@@ -237,12 +221,7 @@ object ReTraTree {
         .collect()
       for ((chunkId, chunkSeries) <- series.groupBy(_._1).toSeq.sortBy(_._1)) {
         val cc = new ChunkClustering(chunkId)
-        val vss = chunkSeries.map(_._2)
-        cc.subChunks = tree.clusterSeries(chunkId, vss)
-        val boxes = vss.map(vs => Box3D(vs.xs.min, vs.xs.max, vs.ys.min, vs.ys.max,
-                                        vs.ts.min, vs.ts.max))
-        cc.memberBoxes ++= boxes
-        cc.rtree = RTree3D.bulkLoad(boxes.zipWithIndex.toIndexedSeq)
+        cc.subChunks = tree.clusterSeries(chunkId, chunkSeries.map(_._2))
         tree.chunks = tree.chunks.updated(chunkId, cc)
       }
     }

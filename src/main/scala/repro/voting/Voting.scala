@@ -1,7 +1,6 @@
 package repro.voting
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.model.TrajPoint
 
 /** The voting step of NaTS (phase 1 of S2T-Clustering).
@@ -13,81 +12,77 @@ import repro.model.TrajPoint
   * representativeness signal the segmentation phase then homogenizes; its
   * physical meaning is "how many objects co-move with r at time t".
   *
-  * Spark implementation: a set-based grid-bucketed spatio-temporal self-join —
-  * positions are bucketed into 3σ cells, the join matches equal timestamps and
-  * adjacent cells only, then aggregates per (object, timestamp). This is the
-  * in-DBMS formulation whose speedup over tuple-at-a-time evaluation the demo
-  * claims (see `repro.baselines.NaiveVoting` for the comparator).
+  * A vote at time t involves only the samples at t, so there is one kernel,
+  * [[votesAt]], over the samples of one timestamp. The Spark path shuffles by
+  * timestamp and runs it per partition; the driver path groups by timestamp
+  * and runs the same kernel. The set-based evaluation is compared against the
+  * tuple-at-a-time [[repro.baselines.NaiveVoting]].
   */
 object Voting {
 
   /** Kernel truncation radius: contributions beyond `3σ` are dropped. */
   def cutoff(sigma: Double): Double = 3.0 * sigma
 
+  /** The votes of the samples of one timestamp: `objs(i)` at `(xs(i), ys(i))`
+    * is voted by every sample of another object within the cutoff (a closed
+    * ball). Each pair's weight is computed once and added to both sides, in
+    * index order, so the result depends only on the order of the input.
+    */
+  def votesAt(objs: Array[Long], xs: Array[Double], ys: Array[Double],
+              sigma: Double): Array[Double] = {
+    val cut2 = cutoff(sigma) * cutoff(sigma)
+    val twoS2 = 2 * sigma * sigma
+    val out = new Array[Double](objs.length)
+    var i = 0
+    while (i < objs.length) {
+      var j = i + 1
+      while (j < objs.length) {
+        if (objs(i) != objs(j)) {
+          val dx = xs(i) - xs(j); val dy = ys(i) - ys(j)
+          val d2 = dx * dx + dy * dy
+          if (d2 <= cut2) {
+            val w = math.exp(-d2 / twoS2)
+            out(i) += w; out(j) += w
+          }
+        }
+        j += 1
+      }
+      i += 1
+    }
+    out
+  }
+
+  /** Group `points` by timestamp and vote each group with [[votesAt]]. Each
+    * group is ordered by object id first, so the votes do not depend on the
+    * order of `points`.
+    */
+  private def byTimestamp(points: Array[TrajPoint], sigma: Double): Iterator[(TrajPoint, Double)] =
+    points.groupBy(_.t).valuesIterator.flatMap { group =>
+      val pts = group.sortBy(_.objId)
+      pts.iterator.zip(votesAt(pts.map(_.objId), pts.map(_.x), pts.map(_.y), sigma).iterator)
+    }
+
   /** Distributed voting. Input: (obj_id, t, x, y) resampled on a common time
     * grid. Output: same rows plus a `vote` column (0 for samples nobody is
-    * near).
+    * near). One shuffle by `t`; each partition then votes its timestamps
+    * locally.
     */
   def votes(points: DataFrame, sigma: Double): DataFrame = {
     require(sigma > 0, s"sigma must be positive, got $sigma")
     val spark = points.sparkSession
     import spark.implicits._
-    val cut  = cutoff(sigma)
-    val cell = cut
-
-    val p = points
-      .select($"obj_id", $"t", $"x", $"y")
-      .withColumn("gx", floor($"x" / cell).cast("long"))
-      .withColumn("gy", floor($"y" / cell).cast("long"))
-
-    // Voter side, replicated into its 3x3 cell neighborhood so that each
-    // (votee, voter) pair within the cutoff meets in exactly one bucket.
-    val offsets = for { dx <- -1 to 1; dy <- -1 to 1 } yield (dx, dy)
-    val q = p
-      .select($"obj_id" as "q_obj", $"t" as "q_t", $"x" as "q_x", $"y" as "q_y",
-              $"gx" as "q_gx", $"gy" as "q_gy")
-      .withColumn("off", explode(array(offsets.map { case (dx, dy) =>
-        struct(lit(dx) as "dx", lit(dy) as "dy") }: _*)))
-      .withColumn("cgx", $"q_gx" + $"off.dx")
-      .withColumn("cgy", $"q_gy" + $"off.dy")
-
-    val d2 = (col("x") - col("q_x")) * (col("x") - col("q_x")) +
-             (col("y") - col("q_y")) * (col("y") - col("q_y"))
-
-    val contrib = p
-      .join(q, p("t") === q("q_t") && p("gx") === q("cgx") && p("gy") === q("cgy") &&
-               p("obj_id") =!= q("q_obj"))
-      .withColumn("d2", d2)
-      .where($"d2" <= lit(cut * cut))
-      .withColumn("w", exp(-$"d2" / lit(2 * sigma * sigma)))
-      .groupBy($"obj_id" as "v_obj", $"t" as "v_t")
-      .agg(sum($"w") as "vote")
-
-    points.select("obj_id", "t", "x", "y")
-      .join(contrib, points("obj_id") === contrib("v_obj") && points("t") === contrib("v_t"),
-            "left")
-      .select(points("obj_id"), points("t"), points("x"), points("y"),
-              coalesce($"vote", lit(0.0)) as "vote")
-  }
-
-  /** Reference implementation on the driver: hash points per timestamp, then
-    * an exact pairwise pass with the same truncation. Used by tests (must
-    * equal the Spark result) — not to be confused with the deliberately
-    * index-free [[repro.baselines.NaiveVoting]].
-    */
-  def votesLocal(points: Array[TrajPoint], sigma: Double): Map[(Long, Long), Double] = {
-    val cut2 = cutoff(sigma) * cutoff(sigma)
-    val byT = points.groupBy(_.t)
-    val out = Map.newBuilder[(Long, Long), Double]
-    for ((_, pts) <- byT; a <- pts) {
-      var v = 0.0
-      for (b <- pts if b.objId != a.objId) {
-        val dx = a.x - b.x; val dy = a.y - b.y
-        val d2 = dx * dx + dy * dy
-        if (d2 <= cut2) v += math.exp(-d2 / (2 * sigma * sigma))
+    points.select($"obj_id", $"t", $"x", $"y").as[(Long, Long, Double, Double)]
+      .repartition($"t")
+      .mapPartitions { rows =>
+        val pts = rows.map { case (o, t, x, y) => TrajPoint(o, t, x, y) }.toArray
+        byTimestamp(pts, sigma).map { case (p, v) => (p.objId, p.t, p.x, p.y, v) }
       }
-      out += ((a.objId, a.t) -> v)
-    }
-    out.result()
+      .toDF("obj_id", "t", "x", "y", "vote")
   }
+
+  /** Voting on the driver, keyed by (object, timestamp): the same kernel as
+    * [[votes]], for chunk-local re-clustering and small inputs.
+    */
+  def votesLocal(points: Array[TrajPoint], sigma: Double): Map[(Long, Long), Double] =
+    byTimestamp(points, sigma).map { case (p, v) => (p.objId, p.t) -> v }.toMap
 }

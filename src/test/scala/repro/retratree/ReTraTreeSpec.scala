@@ -79,20 +79,6 @@ class ReTraTreeSpec extends SparkSpec {
     }
   }
 
-  test("chunk R-trees index every member trajectory piece") {
-    tree.chunks.foreach { case (chunkId, cc) =>
-      val nObjInChunk = tree.loadChunk(chunkId).length
-      assert(cc.rtree.size == nObjInChunk)
-      assert(cc.memberBoxes.length == nObjInChunk)
-    }
-  }
-
-  test("chunk R-tree answers temporal queries within the chunk") {
-    val cc = tree.chunks(0L)
-    val all = cc.rtree.queryTemporal(0L, 199L)
-    assert(all.length == cc.rtree.size, "every member lives inside the chunk period")
-  }
-
   test("sub-chunk clusterings partition the chunk's sub-trajectories") {
     tree.chunks.values.foreach { cc =>
       val totalAssigned = cc.subChunks.map(_.assignments.length).sum
@@ -125,10 +111,9 @@ class ReTraTreeSpec extends SparkSpec {
     val dir = Files.createTempDirectory("retratree-ins").toString
     val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val cc = t2.chunks(0L)
-    val before = (cc.appended.length, cc.rtree.size)
+    val before = cc.appended.length
     t2.insertTrajectory(laneTrajectory(900L, 0L, 0.5))
-    assert(cc.appended.length == before._1 + 1)
-    assert(cc.rtree.size == before._2 + 1)
+    assert(cc.appended.length == before + 1)
     assert(cc.pendingOutliers.isEmpty)
   }
 

@@ -112,10 +112,4 @@ class TrajGenSpec extends SparkSpec {
     val df = TrajGen.points(TrajGen.generate(spark, p))
     assert(df.columns.toSeq == Seq("obj_id", "t", "x", "y"))
   }
-
-  test("SynthData.trajectories delegates with ~sf-scaled object counts") {
-    val df = repro.SynthData.trajectories(spark, sf = 0.01)
-    val n = df.select("obj_id").distinct().count()
-    assert(n >= 15 && n <= 40, s"expected a small MOD at sf=0.01, got $n objects")
-  }
 }

@@ -2,6 +2,7 @@ package repro.voting
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.baselines.NaiveVoting
 import repro.model.TrajPoint
 import repro.traj.TrajGen
 
@@ -88,15 +89,33 @@ class VotingSpec extends SparkSpec {
   }
 
   test("Spark votes equal the local reference on a generated MOD") {
+    // NaiveVoting shares no code with the kernel: a full scan per sample.
     val p = TrajGen.Params(nGroups = 2, perGroup = 5, nNoise = 3, tSteps = 20, seed = 5L)
     val local = TrajGen.generateLocal(p).map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
-    val expected = Voting.votesLocal(local, sigma = 1.5)
+    val expected = local.map(lp => (lp.objId, lp.t))
+      .zip(NaiveVoting.votes(local, sigma = 1.5)).toMap
     val got = Voting.votes(df(local.toSeq), sigma = 1.5).collect()
     assert(got.length == local.length)
     got.foreach { r =>
       val k = (r.getAs[Long]("obj_id"), r.getAs[Long]("t"))
       assert(math.abs(r.getAs[Double]("vote") - expected(k)) < 1e-9, s"mismatch at $k")
     }
+  }
+
+  test("votes are identical for any shuffle partition count and input row order") {
+    val p = TrajGen.Params(nGroups = 2, perGroup = 5, nNoise = 3, tSteps = 20, seed = 8L)
+    val local = TrajGen.generateLocal(p).map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
+    def run(pts: Seq[TrajPoint]): Map[(Long, Long), Double] =
+      Voting.votes(df(pts), sigma = 1.5).collect()
+        .map(r => (r.getAs[Long]("obj_id"), r.getAs[Long]("t")) -> r.getAs[Double]("vote")).toMap
+    val default = run(local.toSeq)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val single = try { spark.conf.set(key, "1"); run(local.toSeq) } finally spark.conf.set(key, saved)
+    val shuffled = run(new scala.util.Random(3L).shuffle(local.toSeq))
+    assert(default.size == local.length)
+    assert(single == default, "one shuffle partition must give the same votes")
+    assert(shuffled == default, "input row order must not change the votes")
   }
 
   test("votesLocal is symmetric in contribution for a pair") {
